@@ -7,6 +7,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/resultstore"
+	"repro/internal/service"
 	"repro/internal/surrogate"
 	"repro/internal/trace"
 )
@@ -180,6 +181,39 @@ func BenchmarkFunctionalExecution(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
+}
+
+// BenchmarkProfileStoreLoad measures reusing a stored profile: one
+// durable-store Load (read, checksum, decode, validate) plus the Freeze
+// every consumer applies before sampling, for a gcc k=1 profile of
+// 100k instructions — the largest SFG among the workloads. The paper's
+// premise is that this costs less than the simulation the graph feeds.
+func BenchmarkProfileStoreLoad(b *testing.B) {
+	w, err := LoadWorkload("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := Profile(DefaultConfig(), w.Stream(1, 0, 100_000), ProfileOptions{K: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := service.NewStore(b.TempDir(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := service.ProfileKey{Workload: "gcc", K: 1, N: 100_000, Seed: 1}
+	if err := st.Save(key, g); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lg, err := st.Load(key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lg.Freeze()
+	}
 }
 
 // sweepBenchGrid is a 16-point single-cohort grid: every point shares

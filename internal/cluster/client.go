@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -93,6 +94,11 @@ func (c *client) fetchGraph(ctx context.Context, base string, key service.Profil
 			return err
 		}
 		_, decoded, err := service.DecodeProfileEnvelope(body, &key)
+		if errors.Is(err, sfg.ErrUnsupportedVersion) {
+			// A peer on another build: its payload stays unreadable
+			// however often it is fetched.
+			return service.Permanent(fmt.Errorf("envelope from %s: %w", base, err))
+		}
 		if err != nil {
 			return fmt.Errorf("envelope from %s: %w", base, err)
 		}
@@ -105,18 +111,24 @@ func (c *client) fetchGraph(ctx context.Context, base string, key service.Profil
 	return g, nil
 }
 
-// offerGraph pushes an already-encoded envelope to the peer at base.
+// offerGraph pushes an already-encoded envelope to the peer at base,
+// retried under the client's policy.
 func (c *client) offerGraph(ctx context.Context, base string, envelope []byte) error {
 	return c.retry.Run(ctx, c.retries, func() error {
-		_, err := c.do(ctx, c.rpcTimeout, func(ctx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/cluster/offer", bytes.NewReader(envelope))
-			if err == nil {
-				req.Header.Set("Content-Type", "application/octet-stream")
-			}
-			return req, err
-		}, nil)
-		return err
+		return c.offerOnce(ctx, base, envelope)
 	})
+}
+
+// offerOnce is one offer attempt under the RPC timeout.
+func (c *client) offerOnce(ctx context.Context, base string, envelope []byte) error {
+	_, err := c.do(ctx, c.rpcTimeout, func(ctx context.Context) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/cluster/offer", bytes.NewReader(envelope))
+		if err == nil {
+			req.Header.Set("Content-Type", "application/octet-stream")
+		}
+		return req, err
+	}, nil)
+	return err
 }
 
 // probe asks the peer's health endpoint. Only a clean 200 counts: a

@@ -310,9 +310,10 @@ func (c *Coordinator) FetchGraph(ctx context.Context, key service.ProfileKey) (*
 				}
 				return out.g, out.peer.name, nil
 			}
-			if errors.Is(out.err, errNotHeld) {
-				// The peer answered; it just lacks the graph. Not
-				// failure evidence.
+			if errors.Is(out.err, errNotHeld) || errors.Is(out.err, sfg.ErrUnsupportedVersion) {
+				// The peer answered; it just lacks the graph, or holds
+				// it only in another build's wire format. Not failure
+				// evidence: its sweep RPCs still work.
 				misses++
 			} else if fctx.Err() == nil {
 				c.noteFailure(out.peer, out.err, false)
@@ -339,10 +340,13 @@ func (c *Coordinator) FetchGraph(ctx context.Context, key service.ProfileKey) (*
 }
 
 // OfferGraph implements service.Cluster: replicate a freshly profiled
-// graph to the key's other owners, asynchronously. The envelope is
-// encoded once, synchronously (the graph is frozen but cheap to read;
-// encoding up front means the goroutine never touches it), and failures
-// only cost a future re-profile somewhere.
+// graph to the key's other owners. The envelope is encoded once, up
+// front, so no goroutine ever touches the graph. The first owner gets
+// one attempt before OfferGraph returns: an owner fetches only from the
+// other owners, so until one of them holds the graph a request on an
+// owner would profile it again. The remaining owners, and the first if
+// that attempt failed, are offered asynchronously with retries;
+// failures only cost a future re-profile somewhere.
 func (c *Coordinator) OfferGraph(ctx context.Context, key service.ProfileKey, g *sfg.Graph) {
 	var targets []*peer
 	for _, name := range c.ring.Owners(profileKeyString(key), c.cfg.Replication) {
@@ -360,6 +364,15 @@ func (c *Coordinator) OfferGraph(ctx context.Context, key service.ProfileKey, g 
 	if err != nil {
 		c.offerFailures.Add(1)
 		c.log.Warn("encoding offer envelope", "err", err.Error())
+		return
+	}
+	if err := c.client.offerOnce(ctx, targets[0].name, envelope); err == nil {
+		c.offersSent.Add(1)
+		targets = targets[1:]
+	} else {
+		c.log.Debug("graph offer failed, retrying in background", "peer", targets[0].name, "err", err.Error())
+	}
+	if len(targets) == 0 {
 		return
 	}
 	c.wg.Add(1)

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"net/http"
@@ -18,6 +22,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sfg"
+	"repro/internal/sfg/sfgtest"
 )
 
 func testGraph(t testing.TB) *sfg.Graph {
@@ -308,6 +313,57 @@ func TestFetchGraphTruncatedEnvelopeRetried(t *testing.T) {
 	}
 	if st := c.Stats(); st.RPCRetries == 0 {
 		t.Errorf("truncated transfer was not retried: %+v", st)
+	}
+}
+
+// olderBuildEnvelope is the envelope a peer on a build with profile
+// wire version 1 serves: the envelope layout is unchanged (magic,
+// version, key, length, CRC-32C), only the payload inside is older.
+func olderBuildEnvelope(t *testing.T, key service.ProfileKey) []byte {
+	t.Helper()
+	keyJSON, err := json.Marshal(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := sfgtest.V1Payload(sfgtest.V1Hist{Max: 512, Values: []int32{3}, Counts: []uint64{1}})
+	var env bytes.Buffer
+	env.WriteString("SFGS")
+	binary.Write(&env, binary.LittleEndian, uint32(1))
+	binary.Write(&env, binary.LittleEndian, uint32(len(keyJSON)))
+	env.Write(keyJSON)
+	binary.Write(&env, binary.LittleEndian, uint64(len(payload)))
+	binary.Write(&env, binary.LittleEndian, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	env.Write(payload)
+	return env.Bytes()
+}
+
+// TestFetchGraphOlderBuildRefused: a peer on an older build serves an
+// envelope whose payload this build cannot read. Each fetch is one
+// unretried miss — no retry can help — and the caller profiles
+// locally. The peer is otherwise healthy, so however often it is
+// asked it is never ejected.
+func TestFetchGraphOlderBuildRefused(t *testing.T) {
+	peer := newFakePeer(t)
+	peer.envelope.Store(olderBuildEnvelope(t, testKey))
+	c := testCoordinator(t, Config{
+		Peers:       []string{peer.ts.URL},
+		Replication: 2,
+		Retry:       service.RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond},
+	})
+	const fetches = 4 // twice the default FailThreshold
+	for i := 0; i < fetches; i++ {
+		g, _, err := c.FetchGraph(context.Background(), testKey)
+		if !errors.Is(err, service.ErrNoRemoteGraph) {
+			t.Fatalf("fetch %d from an older build: graph %v, err %v; want a miss", i, g != nil, err)
+		}
+	}
+	st := c.Stats()
+	if st.RPCRetries != 0 || peer.fetches.Load() != fetches {
+		t.Errorf("unreadable envelope fetched %d times with %d retries, want %d without retries",
+			peer.fetches.Load(), st.RPCRetries, fetches)
+	}
+	if st.Ejections != 0 || !c.Status().Peers[0].Healthy {
+		t.Errorf("older-build peer ejected: %+v, status %+v", st, c.Status().Peers[0])
 	}
 }
 

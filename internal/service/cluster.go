@@ -42,8 +42,9 @@ type Cluster interface {
 	// name, or ErrNoRemoteGraph when no reachable replica holds it.
 	FetchGraph(ctx context.Context, key ProfileKey) (*sfg.Graph, string, error)
 	// OfferGraph replicates a freshly profiled graph to the key's owner
-	// peers, best-effort and asynchronously — a failed offer costs a
-	// future re-profile somewhere, never this request.
+	// peers, best-effort: one owner is offered before it returns, the
+	// rest asynchronously. A failed offer costs a future re-profile
+	// somewhere, never this request's answer.
 	OfferGraph(ctx context.Context, key ProfileKey, g *sfg.Graph)
 	// SweepPending computes job.Pending across the healthy peers plus
 	// this node, calling job.Report once per completed point. It returns

@@ -168,8 +168,9 @@ func fidelityMetrics(res *fidelity.Result) SimMetrics {
 // a fidelity spec. The engine runs on the handler goroutine and fans
 // its interval evaluations out through the worker pool (the same
 // inversion the sweep engine uses — wrapping the whole engine in
-// pool.Do would deadlock its inner submissions behind itself).
-func (s *Server) runFidelitySimulate(r *http.Request, req SimulateRequest) (any, error) {
+// pool.Do would deadlock its inner submissions behind itself). cfg is
+// the request's configuration, already validated by the handler.
+func (s *Server) runFidelitySimulate(r *http.Request, req SimulateRequest, cfg cpu.Config) (any, error) {
 	ctx := r.Context()
 	key, err := req.Profile.key(s.opts)
 	if err != nil {
@@ -187,7 +188,6 @@ func (s *Server) runFidelitySimulate(r *http.Request, req SimulateRequest) (any,
 		return nil, badRequest("%v", err)
 	}
 	start := time.Now()
-	cfg := req.Config.apply(cpu.DefaultConfig())
 	eng, err := fidelity.New(ctx, s.pool, cfg, w, fopts)
 	if err != nil {
 		return nil, err
@@ -232,8 +232,9 @@ func (s *Server) runFidelitySimulate(r *http.Request, req SimulateRequest) (any,
 //
 // Every grid point varies only window sizes and widths, which keeps the
 // engine's profiled locality structures valid across the whole sweep
-// (the same invariant plain statistical sweeps rely on).
-func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []SweepPoint) (any, error) {
+// (the same invariant plain statistical sweeps rely on). base is the
+// request's configuration, already validated by the handler.
+func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, base cpu.Config, points []SweepPoint) (any, error) {
 	ctx := r.Context()
 	if len(points) > maxFidelitySweepPoints {
 		return nil, badRequest("%d points exceed the fidelity sweep limit %d", len(points), maxFidelitySweepPoints)
@@ -251,7 +252,6 @@ func (s *Server) runFidelitySweep(r *http.Request, req SweepRequest, points []Sw
 		return nil, badRequest("%v", err)
 	}
 	start := time.Now()
-	base := req.Config.apply(cpu.DefaultConfig())
 	eng, err := fidelity.New(ctx, s.pool, base, w, fopts)
 	if err != nil {
 		return nil, err

@@ -674,11 +674,10 @@ func (s *Server) resolveProfile(ctx context.Context, spec ProfileSpec) (*sfg.Gra
 			// Freshly paid-for profile: replicate to the key's owners so
 			// no node in the cluster ever profiles it again. Freeze
 			// first (idempotent — the cache would do it next anyway) so
-			// the coordinator's asynchronous send reads an immutable
-			// graph.
+			// the coordinator reads an immutable graph.
 			g.Freeze()
-			// The replication send itself is asynchronous; the span marks
-			// that this request initiated it.
+			// The span covers the offer to the first owner; the rest
+			// are sent asynchronously.
 			octx, span := obs.TracerFromContext(ctx).StartSpan(ctx, "cluster.offer")
 			s.cluster.OfferGraph(octx, key, g)
 			span.End()
@@ -837,8 +836,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) (any, er
 	if err := s.admit(); err != nil {
 		return nil, err
 	}
+	// A configuration the model cannot run is the caller's error: refuse
+	// it before any profile is loaded or any job is dispatched.
+	cfg := req.Config.apply(cpu.DefaultConfig())
+	if err := cfg.Validate(); err != nil {
+		return nil, badRequest("config: %v", err)
+	}
 	if req.Fidelity != nil {
-		return s.runFidelitySimulate(r, req)
+		return s.runFidelitySimulate(r, req, cfg)
 	}
 	if req.Target == 0 {
 		req.Target = 100_000
@@ -852,7 +857,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) (any, er
 		return nil, err
 	}
 	rec := requestRecorder(r.Context())
-	cfg := req.Config.apply(cpu.DefaultConfig())
 	red := core.ReductionFor(g, req.Target)
 	okey := oracleKey(key, cfg, red, req.SimSeed)
 	served := ""
@@ -997,8 +1001,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error
 	if len(points) > s.opts.MaxSweepPoints {
 		return nil, badRequest("%d points exceed limit %d", len(points), s.opts.MaxSweepPoints)
 	}
+	base := req.Config.apply(cpu.DefaultConfig())
+	for i, pt := range points {
+		if err := pt.Apply(base).Validate(); err != nil {
+			return nil, badRequest("point %d: %v", i, err)
+		}
+	}
 	if req.Fidelity != nil {
-		return s.runFidelitySweep(r, req, points)
+		return s.runFidelitySweep(r, req, base, points)
 	}
 	if req.Target == 0 {
 		req.Target = 100_000
@@ -1025,7 +1035,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error
 	if err != nil {
 		return nil, err
 	}
-	base := req.Config.apply(cpu.DefaultConfig())
 	red := core.ReductionFor(g, req.Target)
 	params := sweepParams{
 		spec:    req.Profile,

@@ -243,6 +243,43 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestInvalidConfigRejected: a configuration the model cannot run (LSQ
+// 32 over RUU 16) is the caller's error. It gets a 400 before any
+// profile is resolved or any job dispatched — no panic, no retry, no
+// 500.
+func TestInvalidConfigRejected(t *testing.T) {
+	svc, ts := newTestServerOpts(t, Options{Workers: 4, CacheSize: 4, JobTimeout: time.Minute,
+		Retry: RetryPolicy{Attempts: 3}})
+	prof := ProfileSpec{Workload: "vpr", N: 20_000}
+	cases := []struct {
+		name string
+		url  string
+		body any
+	}{
+		{"simulate lsq over ruu", "/v1/simulate", map[string]any{"profile": prof, "config": map[string]any{"ruu": 16}}},
+		{"fidelity simulate lsq over ruu", "/v1/simulate", map[string]any{"profile": prof, "config": map[string]any{"ruu": 16},
+			"fidelity": map[string]any{}}},
+		{"sweep point lsq over ruu", "/v1/sweep", SweepRequest{Profile: prof,
+			Points: []SweepPoint{{RUU: 32, LSQ: 16, Decode: 4, Issue: 4, Commit: 4}, {RUU: 8, LSQ: 16, Decode: 4, Issue: 4, Commit: 4}}}},
+		{"sweep base ifq too large", "/v1/sweep", SweepRequest{Profile: prof, Grid: "quick", Config: ConfigSpec{IFQ: 1<<20 + 1}}},
+	}
+	for _, tc := range cases {
+		code, body := postJSON(t, ts.URL+tc.url, tc.body, nil)
+		if code != http.StatusBadRequest || !json.Valid([]byte(body)) || !strings.Contains(body, "cpu: ") {
+			t.Errorf("%s: status %d (%s), want a JSON 400 naming the config fault", tc.name, code, body)
+		}
+	}
+	if n := svc.retries.Load(); n != 0 {
+		t.Errorf("%d job retries, want 0", n)
+	}
+	if st := svc.Pool().Stats(); st.Panics != 0 || st.Completed != 0 {
+		t.Errorf("pool stats %+v, want no job run at all", st)
+	}
+	if st := svc.cache.Stats(); st.Misses != 0 {
+		t.Errorf("cache stats %+v, want no profile resolved", st)
+	}
+}
+
 // TestConcurrentIdenticalSimulates hammers one key from many goroutines:
 // exactly one profiling run must happen (coalescing), every response must
 // agree, and -race must stay silent across the shared frozen graph.

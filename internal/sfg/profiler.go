@@ -29,7 +29,8 @@ type Options struct {
 	// (Table 2: 32). Defaults to 32.
 	FIFOSize int
 	// DepMax bounds dependency-distance distributions; defaults to
-	// stats.MaxDependencyDistance (512).
+	// stats.MaxDependencyDistance (512) and may not exceed
+	// stats.MaxBound.
 	DepMax int
 	// Warmup is the number of leading stream instructions that only
 	// warm the cache and predictor state without being recorded in the
@@ -55,6 +56,10 @@ func (o Options) withDefaults() Options {
 func (o Options) validate() error {
 	if o.K < 0 || o.K > MaxK {
 		return fmt.Errorf("sfg: order %d outside [0,%d]", o.K, MaxK)
+	}
+	if o.DepMax < 1 || o.DepMax > stats.MaxBound {
+		// A stored profile's histograms may not exceed stats.MaxBound.
+		return fmt.Errorf("sfg: dependency bound %d outside [1,%d]", o.DepMax, stats.MaxBound)
 	}
 	if err := o.Hier.Validate(); err != nil {
 		return err
