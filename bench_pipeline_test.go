@@ -66,6 +66,8 @@ func BenchmarkGenerate(b *testing.B) {
 
 // BenchmarkSimulate measures the trace-driven timing simulator on a
 // pre-materialised synthetic trace (pure simulation, no generation).
+// Besides ns/op it reports simulated (committed) instructions per
+// second and the kernel's cost per simulated instruction.
 func BenchmarkSimulate(b *testing.B) {
 	w := benchWorkload(b)
 	cfg := DefaultConfig()
@@ -80,10 +82,20 @@ func BenchmarkSimulate(b *testing.B) {
 	insts := trace.Collect(src, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var simulated uint64
 	for i := 0; i < b.N; i++ {
-		SimulateTrace(cfg, trace.NewSliceSource(insts))
+		simulated += SimulateTrace(cfg, trace.NewSliceSource(insts)).Instructions
 	}
-	b.ReportMetric(float64(len(insts))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
+	reportSimulated(b, simulated)
+}
+
+// reportSimulated reports a simulation benchmark's throughput in
+// simulated (committed) instructions: inst/s, and ns/sim-inst — the
+// kernel's cost per simulated instruction, comparable across
+// benchmarks whose ops simulate different amounts.
+func reportSimulated(b *testing.B, simulated uint64) {
+	b.ReportMetric(float64(simulated)/b.Elapsed().Seconds(), "inst/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simulated), "ns/sim-inst")
 }
 
 // BenchmarkEndToEnd measures the whole statistical simulation pipeline:

@@ -272,7 +272,8 @@ func BenchmarkSweepPerPoint16(b *testing.B) {
 // BenchmarkSweepLockstep16 is the same 16-point grid through the batch
 // entry point: one reduction + generation pass drives all 16 pipelines
 // in lockstep. The inst/s ratio against BenchmarkSweepPerPoint16 is the
-// sweep amortisation win.
+// sweep amortisation win; ns/sim-inst is the cost of one simulated
+// instruction in one instance, shared generation included.
 func BenchmarkSweepLockstep16(b *testing.B) {
 	cfgs := sweepBenchGrid()
 	g, r := sweepBenchGraph(b)
@@ -287,7 +288,7 @@ func BenchmarkSweepLockstep16(b *testing.B) {
 			insts += m.Instructions
 		}
 	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "inst/s")
+	reportSimulated(b, insts)
 }
 
 // BenchmarkObsDisabledSimulate measures the simulate path through the

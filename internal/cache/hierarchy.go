@@ -198,7 +198,7 @@ func (h *Hierarchy) AccessD(addr uint64) DResult {
 // cycles, the same mapping used for pre-assigned synthetic-trace flags
 // (§2.3: "for example, in case of an L2 miss, the access latency to
 // main memory is assigned").
-func (hc HierarchyConfig) LoadLatency(l1Miss, l2Miss, tlbMiss bool) int {
+func (hc *HierarchyConfig) LoadLatency(l1Miss, l2Miss, tlbMiss bool) int {
 	lat := hc.L1D.Latency
 	if l1Miss {
 		lat = hc.L2.Latency
@@ -215,7 +215,7 @@ func (hc HierarchyConfig) LoadLatency(l1Miss, l2Miss, tlbMiss bool) int {
 // FetchStall converts an instruction-fetch outcome into the number of
 // cycles the fetch engine stalls (§2.3: on an I-cache miss the fetch
 // engine stops fetching for a number of cycles).
-func (hc HierarchyConfig) FetchStall(l1Miss, l2Miss, tlbMiss bool) int {
+func (hc *HierarchyConfig) FetchStall(l1Miss, l2Miss, tlbMiss bool) int {
 	stall := 0
 	if l1Miss {
 		stall = hc.L2.Latency

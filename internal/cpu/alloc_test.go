@@ -17,34 +17,35 @@ func (s *endlessSource) Next(d *trace.DynInst) bool {
 }
 
 // TestStreamBufZeroAllocSteadyState pins the fetch path's allocation
-// behaviour: once the stream buffer has grown to its working size,
-// at/refill/release cycles (chunked in-place refills, in-place
-// compaction) allocate nothing. Skipped under -race: the race runtime
-// instruments allocations.
+// behaviour: once the pipeline's stream window (a one-cursor spool, as
+// newPipeline builds it for the serial path) has grown to its working
+// size, At/Release cycles — chunked refills in place, in-place
+// compaction on fill — allocate nothing. Skipped under -race: the race
+// runtime instruments allocations.
 func TestStreamBufZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
-	s := newStreamBuf(&endlessSource{})
+	w := trace.NewSpool(&endlessSource{}).NewCursor()
 	pos := uint64(0)
-	for ; pos < 100_000; pos++ { // warm: buffer capacity stabilises
-		if s.at(pos) == nil {
+	step := func() {
+		if w.At(pos) == nil {
 			t.Fatal("endless source reported EOF")
 		}
-		if pos%4096 == 0 {
-			s.release(pos)
+		// Release a little behind the frontier, as commit does.
+		if pos >= 200 {
+			w.Release(pos - 200)
 		}
+		pos++
+	}
+	for pos < 100_000 { // warm: window capacity stabilises
+		step()
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		for end := pos + 8192; pos < end; pos++ {
-			if s.at(pos) == nil {
-				t.Fatal("endless source reported EOF")
-			}
-			if pos%4096 == 0 {
-				s.release(pos)
-			}
+		for end := pos + 8192; pos < end; {
+			step()
 		}
 	}); a != 0 {
-		t.Errorf("streamBuf at/release: %v allocs/run in steady state, want 0", a)
+		t.Errorf("stream window At/Release: %v allocs/run in steady state, want 0", a)
 	}
 }

@@ -123,26 +123,26 @@ func TestStreamBuf(t *testing.T) {
 	for i := range insts {
 		insts[i].Seq = uint64(i)
 	}
-	sb := newStreamBuf(trace.NewSliceSource(insts))
-	if d := sb.at(0); d == nil || d.Seq != 0 {
-		t.Fatal("at(0) failed")
+	_, w := newWindow(trace.NewSliceSource(insts))
+	if d := w.At(0); d == nil || d.Seq != 0 {
+		t.Fatal("At(0) failed")
 	}
-	if d := sb.at(99); d == nil || d.Seq != 99 {
-		t.Fatal("at(99) failed")
+	if d := w.At(99); d == nil || d.Seq != 99 {
+		t.Fatal("At(99) failed")
 	}
-	// Rewind within the buffer works.
-	if d := sb.at(10); d == nil || d.Seq != 10 {
+	// Rewind within the window works.
+	if d := w.At(10); d == nil || d.Seq != 10 {
 		t.Fatal("rewind failed")
 	}
-	if sb.at(100) != nil {
+	if w.At(100) != nil {
 		t.Fatal("beyond EOF should be nil")
 	}
-	if sb.at(100) != nil {
+	if w.At(100) != nil {
 		t.Fatal("EOF must be sticky")
 	}
 	// Release then access above the release point.
-	sb.release(50)
-	if d := sb.at(60); d == nil || d.Seq != 60 {
+	w.Release(50)
+	if d := w.At(60); d == nil || d.Seq != 60 {
 		t.Fatal("access after release failed")
 	}
 }
@@ -152,13 +152,14 @@ func TestStreamBufReleaseCompaction(t *testing.T) {
 	for i := range insts {
 		insts[i].Seq = uint64(i)
 	}
-	sb := newStreamBuf(trace.NewSliceSource(insts))
-	sb.at(9000)
-	sb.release(8192) // above the compaction threshold
-	if len(sb.buf) >= 9000 {
-		t.Errorf("buffer not compacted: %d entries", len(sb.buf))
+	sp, w := newWindow(trace.NewSliceSource(insts))
+	w.At(9000)
+	w.Release(8192) // above the compaction threshold
+	sp.Trim()
+	if sp.WindowLen() >= 9000 {
+		t.Errorf("window not compacted: %d entries", sp.WindowLen())
 	}
-	if d := sb.at(8500); d == nil || d.Seq != 8500 {
+	if d := w.At(8500); d == nil || d.Seq != 8500 {
 		t.Fatal("post-compaction access failed")
 	}
 	defer func() {
@@ -166,5 +167,5 @@ func TestStreamBufReleaseCompaction(t *testing.T) {
 			t.Error("access below release point should panic")
 		}
 	}()
-	sb.at(100)
+	w.At(100)
 }

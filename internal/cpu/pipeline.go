@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -61,8 +60,22 @@ const depTableSize = 4096 // > RUU + IFQ + MaxDependencyDistance, power of two
 // Pipeline is one simulation instance. It is single-use: construct,
 // Run, read the Result.
 type Pipeline struct {
-	cfg  Config
-	sbuf *streamBuf
+	cfg Config
+
+	// win is this pipeline's view of the committed-path stream: the
+	// fetch stage reads instructions by position straight out of a
+	// shared trace.Spool window, so that fetch can rewind after a branch
+	// misprediction (the pipeline fills with upcoming instructions "as
+	// if they were from the incorrect path", §2.3, squashes them when
+	// the branch resolves, and re-fetches the same instructions as the
+	// correct path). Commit publishes the release mark. A pointer from
+	// win.At is never held across another call on the window.
+	win *trace.Cursor
+
+	// Per-cycle constants derived from cfg once at construction, so the
+	// kernel neither recomputes nor copies the configuration.
+	fetchWidth int
+	wheelMask  uint64
 
 	// Live locality models. Execution-driven mode sets all of them;
 	// plain trace mode sets none; the synthetic-address mode
@@ -87,9 +100,10 @@ type Pipeline struct {
 	deps  [depTableSize]depRec
 	ready []int32
 
-	// Completion wheel: wheel[c % len(wheel)] holds the entries whose
+	// Completion wheel: wheel[c & wheelMask] holds the entries whose
 	// results become available at cycle c, so writeback touches only
-	// completing entries instead of scanning the RUU every cycle.
+	// completing entries instead of scanning the RUU every cycle. Its
+	// length is a power of two.
 	wheel [][]waiterRef
 
 	// Functional-unit pools: busy-until cycle per unit instance.
@@ -118,7 +132,7 @@ type Pipeline struct {
 // NewExecutionDriven builds the reference simulator: locality events
 // are computed live from fresh cache and branch-predictor models.
 func NewExecutionDriven(cfg Config, src trace.Source) *Pipeline {
-	p := newPipeline(cfg, src)
+	p := newPipeline(cfg, trace.NewSpool(src).NewCursor())
 	if !cfg.PerfectCaches {
 		h := cache.NewHierarchy(cfg.Hier)
 		p.iHier, p.dHier = h, h
@@ -135,14 +149,23 @@ func NewExecutionDriven(cfg Config, src trace.Source) *Pipeline {
 // the data side of the hierarchy is simulated live instead, so cache
 // configurations other than the profiled one can be evaluated.
 func NewTraceDriven(cfg Config, src trace.Source) *Pipeline {
-	p := newPipeline(cfg, src)
+	return NewTraceDrivenOn(cfg, trace.NewSpool(src).NewCursor())
+}
+
+// NewTraceDrivenOn is NewTraceDriven reading its stream through win, a
+// cursor on a spool that other consumers may share (the lockstep batch
+// driver gives every instance of a cohort a cursor on one spool). The
+// pipeline publishes its release marks on win and closes it once the
+// run drains.
+func NewTraceDrivenOn(cfg Config, win *trace.Cursor) *Pipeline {
+	p := newPipeline(cfg, win)
 	if cfg.SimulateDCache && !cfg.PerfectCaches {
 		p.dHier = cache.NewHierarchy(cfg.Hier)
 	}
 	return p
 }
 
-func newPipeline(cfg Config, src trace.Source) *Pipeline {
+func newPipeline(cfg Config, win *trace.Cursor) *Pipeline {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -153,17 +176,19 @@ func newPipeline(cfg Config, src trace.Source) *Pipeline {
 		wheelSize <<= 1
 	}
 	return &Pipeline{
-		cfg:      cfg,
-		warmLeft: cfg.WarmupInsts,
-		sbuf:     newStreamBuf(src),
-		ruu:      make([]ruuEntry, cfg.RUUSize),
-		ifq:      make([]ifqEntry, cfg.IFQSize),
-		wheel:    make([][]waiterRef, wheelSize),
-		fuIntALU: make([]uint64, cfg.IntALUs),
-		fuLS:     make([]uint64, cfg.LoadStore),
-		fuFPAdd:  make([]uint64, cfg.FPAdders),
-		fuIntMul: make([]uint64, cfg.IntMulDivs),
-		fuFPMul:  make([]uint64, cfg.FPMulDivs),
+		cfg:        cfg,
+		win:        win,
+		fetchWidth: cfg.FetchWidth(),
+		wheelMask:  uint64(wheelSize - 1),
+		warmLeft:   cfg.WarmupInsts,
+		ruu:        make([]ruuEntry, cfg.RUUSize),
+		ifq:        make([]ifqEntry, cfg.IFQSize),
+		wheel:      make([][]waiterRef, wheelSize),
+		fuIntALU:   make([]uint64, cfg.IntALUs),
+		fuLS:       make([]uint64, cfg.LoadStore),
+		fuFPAdd:    make([]uint64, cfg.FPAdders),
+		fuIntMul:   make([]uint64, cfg.IntMulDivs),
+		fuFPMul:    make([]uint64, cfg.FPMulDivs),
 	}
 }
 
@@ -173,7 +198,7 @@ func (p *Pipeline) scheduleCompletion(slot int32, en *ruuEntry) {
 	if d >= uint64(len(p.wheel)) {
 		panic(fmt.Sprintf("cpu: latency %d exceeds completion wheel (%d)", d, len(p.wheel)))
 	}
-	idx := en.completeAt % uint64(len(p.wheel))
+	idx := en.completeAt & p.wheelMask
 	p.wheel[idx] = append(p.wheel[idx], waiterRef{slot: slot, gen: en.gen})
 }
 
@@ -226,8 +251,10 @@ func (p *Pipeline) step() bool {
 //
 // A mispredict recovery may rewind the fetch frontier below an
 // already-reached limit; the next call simply advances until the
-// frontier passes it again, re-reading from the pipeline's own stream
-// buffer (never from the source, whose cursor is monotone).
+// frontier passes it again, re-reading from the stream window (which
+// keeps everything at or above the pipeline's release mark). Once the
+// run drains the pipeline closes its cursor, so it no longer pins the
+// window.
 func (p *Pipeline) RunToFetch(limit uint64) bool {
 	for !p.halted {
 		if p.fetchPos >= limit {
@@ -235,6 +262,7 @@ func (p *Pipeline) RunToFetch(limit uint64) bool {
 		}
 		if p.step() {
 			p.halted = true
+			p.win.Close()
 		}
 	}
 	return true
@@ -267,26 +295,18 @@ func (p *Pipeline) fetch() {
 		p.res.Pipe.Fetch.observe(0)
 		return
 	}
+	// The loop exits by break, never return, so the stall accounting
+	// after it sees every cycle (a defer here costs more than the
+	// accounting itself).
 	fetched := uint64(0)
-	defer func() {
-		if fetched == 0 {
-			switch {
-			case p.ifqLen >= p.cfg.IFQSize:
-				p.res.Pipe.Stall.FetchIFQFull++
-			case p.streamEnd || p.wrongPath:
-				p.res.Pipe.Stall.FetchStreamEnd++
-			}
-		}
-		p.res.Pipe.Fetch.observe(fetched)
-	}()
-	budget := p.cfg.FetchWidth()
+	budget := p.fetchWidth
 	for budget > 0 && p.ifqLen < p.cfg.IFQSize {
-		d := p.sbuf.at(p.fetchPos)
+		d := p.win.At(p.fetchPos)
 		if d == nil {
 			if !p.wrongPath {
 				p.streamEnd = true
 			}
-			return
+			break
 		}
 		e := ifqEntry{pos: p.fetchPos, wrongPath: p.wrongPath}
 		p.res.Act.Fetched++
@@ -324,6 +344,15 @@ func (p *Pipeline) fetch() {
 			break
 		}
 	}
+	if fetched == 0 {
+		switch {
+		case p.ifqLen >= p.cfg.IFQSize:
+			p.res.Pipe.Stall.FetchIFQFull++
+		case p.streamEnd || p.wrongPath:
+			p.res.Pipe.Stall.FetchStreamEnd++
+		}
+	}
+	p.res.Pipe.Fetch.observe(fetched)
 }
 
 // fetchLocality performs the I-side cache work for a correct-path fetch
@@ -376,51 +405,52 @@ func (p *Pipeline) predictBranch(d *trace.DynInst) bpred.Outcome {
 }
 
 func (p *Pipeline) ifqPush(e ifqEntry) {
-	p.ifq[(p.ifqHead+p.ifqLen)%p.cfg.IFQSize] = e
+	p.ifq[wrap(p.ifqHead+p.ifqLen, len(p.ifq))] = e
 	p.ifqLen++
+}
+
+// wrap reduces a ring index in [0, 2n) into [0, n) with a compare
+// instead of a division.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
 }
 
 // -------------------------------------------------------------- dispatch
 
 func (p *Pipeline) dispatch() {
-	moved := uint64(0)
-	defer func() {
-		if moved == 0 {
-			switch {
-			case p.ifqLen == 0:
-				p.res.Pipe.Stall.DispatchEmptyIFQ++
-			case p.ruuLen >= p.cfg.RUUSize:
-				p.res.Pipe.Stall.DispatchRUUFull++
-			default:
-				p.res.Pipe.Stall.DispatchLSQFull++
-			}
-		}
-		p.res.Pipe.Dispatch.observe(moved)
-	}()
+	moved := uint64(0) // the loop exits by break (see fetch)
 	for n := 0; n < p.cfg.DecodeWidth && p.ifqLen > 0 && p.ruuLen < p.cfg.RUUSize; n++ {
 		fe := &p.ifq[p.ifqHead]
-		d := p.sbuf.at(fe.pos)
+		d := p.win.At(fe.pos)
 		isMem := d.Class.IsMem()
 		if isMem && p.lsqLen >= p.cfg.LSQSize {
-			return
+			break
 		}
-		p.ifqHead = (p.ifqHead + 1) % p.cfg.IFQSize
+		p.ifqHead = wrap(p.ifqHead+1, len(p.ifq))
 		p.ifqLen--
 
-		slot := int32((p.ruuHead + p.ruuLen) % p.cfg.RUUSize)
+		slot := int32(wrap(p.ruuHead+p.ruuLen, len(p.ruu)))
 		p.ruuLen++
 		en := &p.ruu[slot]
 		gen := en.gen + 1
-		*en = ruuEntry{
-			inst:      *d,
-			pos:       fe.pos,
-			outcome:   fe.outcome,
-			gen:       gen,
-			wrongPath: fe.wrongPath,
-			isMem:     isMem,
-			active:    true,
-			waiters:   en.waiters[:0],
-		}
+		// Field by field rather than a composite literal, which would
+		// build a temporary entry and copy it in whole; every field is
+		// reset.
+		en.inst = *d
+		en.pos = fe.pos
+		en.completeAt = 0
+		en.waiters = en.waiters[:0]
+		en.outcome = fe.outcome
+		en.waitCount = 0
+		en.gen = gen
+		en.state = stateWaiting
+		en.wrongPath = fe.wrongPath
+		en.isMem = isMem
+		en.active = true
+		en.dL1, en.dL2, en.dTLB = false, false, false
 		if isMem {
 			p.lsqLen++
 		}
@@ -453,6 +483,17 @@ func (p *Pipeline) dispatch() {
 			p.markReady(slot)
 		}
 	}
+	if moved == 0 {
+		switch {
+		case p.ifqLen == 0:
+			p.res.Pipe.Stall.DispatchEmptyIFQ++
+		case p.ruuLen >= p.cfg.RUUSize:
+			p.res.Pipe.Stall.DispatchRUUFull++
+		default:
+			p.res.Pipe.Stall.DispatchLSQFull++
+		}
+	}
+	p.res.Pipe.Dispatch.observe(moved)
 }
 
 // addDep records a dependency of the entry at slot on the instruction
@@ -474,12 +515,28 @@ func (p *Pipeline) addDep(en *ruuEntry, slot int32, gen uint32, pos, delta uint6
 	en.waitCount++
 }
 
-// markReady queues a ready entry for out-of-order selection; the
-// in-order issue path scans the RUU directly instead.
+// markReady queues a ready entry for out-of-order selection, keeping
+// the ready list in age (stream position) order; the in-order issue
+// path scans the RUU directly instead.
+//
+// Stream positions order in-flight entries totally: wrong-path entries
+// are strictly younger than every correct-path entry, and positions are
+// unique among live entries. Each entry is queued once, and the issue
+// pass drops squashed entries before dispatch can reuse their slots, so
+// no queued key changes while queued and the list stays sorted.
+// Dispatch queues the youngest entry (an append); a wakeup at
+// writeback walks back from the young end.
 func (p *Pipeline) markReady(slot int32) {
-	if !p.cfg.InOrder {
-		p.ready = append(p.ready, slot)
+	if p.cfg.InOrder {
+		return
 	}
+	pos := p.ruu[slot].pos
+	i := len(p.ready)
+	p.ready = append(p.ready, slot)
+	for ; i > 0 && p.ruu[p.ready[i-1]].pos > pos; i-- {
+		p.ready[i] = p.ready[i-1]
+	}
+	p.ready[i] = slot
 }
 
 // ----------------------------------------------------------------- issue
@@ -506,22 +563,7 @@ func (p *Pipeline) issueOutOfOrder() (uint64, bool) {
 	if len(p.ready) == 0 {
 		return 0, false
 	}
-	// Oldest-first selection. Stream positions order in-flight entries
-	// totally: wrong-path entries are strictly younger than every
-	// correct-path entry, and positions are unique among live entries.
-	// slices.SortFunc rather than sort.Slice: the comparator is total,
-	// so both produce the same order, and SortFunc does not allocate a
-	// reflect-based swapper every cycle.
-	slices.SortFunc(p.ready, func(a, b int32) int {
-		pa, pb := p.ruu[a].pos, p.ruu[b].pos
-		switch {
-		case pa < pb:
-			return -1
-		case pa > pb:
-			return 1
-		}
-		return 0
-	})
+	// Oldest-first selection: markReady keeps the list in age order.
 	issued := uint64(0)
 	sawReady := false
 	kept := p.ready[:0]
@@ -575,7 +617,7 @@ func (p *Pipeline) issueOutOfOrder() (uint64, bool) {
 func (p *Pipeline) issueInOrder() (uint64, bool) {
 	issued := uint64(0)
 	for i := 0; i < p.ruuLen && issued < uint64(p.cfg.IssueWidth); i++ {
-		slot := int32((p.ruuHead + i) % p.cfg.RUUSize)
+		slot := int32(wrap(p.ruuHead+i, len(p.ruu)))
 		en := &p.ruu[slot]
 		switch en.state {
 		case stateIssued, stateDone:
@@ -705,7 +747,7 @@ func (p *Pipeline) loadLatency(en *ruuEntry) int {
 // ------------------------------------------------------------- writeback
 
 func (p *Pipeline) writeback() {
-	idx := p.cycle % uint64(len(p.wheel))
+	idx := p.cycle & p.wheelMask
 	completing := p.wheel[idx]
 	if len(completing) == 0 {
 		return
@@ -748,7 +790,7 @@ func (p *Pipeline) writeback() {
 func (p *Pipeline) recover(branchSlot int32) {
 	branch := &p.ruu[branchSlot]
 	for p.ruuLen > 0 {
-		slot := int32((p.ruuHead + p.ruuLen - 1) % p.cfg.RUUSize)
+		slot := int32(wrap(p.ruuHead+p.ruuLen-1, len(p.ruu)))
 		if slot == branchSlot {
 			break
 		}
@@ -773,21 +815,11 @@ func (p *Pipeline) recover(branchSlot int32) {
 // ---------------------------------------------------------------- commit
 
 func (p *Pipeline) commit() {
-	committed := uint64(0)
-	defer func() {
-		if committed == 0 {
-			if p.ruuLen == 0 {
-				p.res.Pipe.Stall.CommitEmptyRUU++
-			} else {
-				p.res.Pipe.Stall.CommitOldestNotDone++
-			}
-		}
-		p.res.Pipe.Commit.observe(committed)
-	}()
+	committed := uint64(0) // the loop exits by break (see fetch)
 	for n := 0; n < p.cfg.CommitWidth && p.ruuLen > 0; n++ {
 		en := &p.ruu[p.ruuHead]
 		if en.state != stateDone {
-			return
+			break
 		}
 		if en.wrongPath {
 			panic("cpu: wrong-path instruction reached commit")
@@ -809,14 +841,12 @@ func (p *Pipeline) commit() {
 		}
 		en.active = false
 		en.gen++
-		p.ruuHead = (p.ruuHead + 1) % p.cfg.RUUSize
+		p.ruuHead = wrap(p.ruuHead+1, len(p.ruu))
 		p.ruuLen--
 		committed++
 		p.res.Instructions++
 		p.res.Act.Committed++
-		if p.res.Instructions%8192 == 0 {
-			p.sbuf.release(en.pos + 1)
-		}
+		p.win.Release(en.pos + 1)
 		if p.warmLeft > 0 {
 			p.warmLeft--
 			if p.warmLeft == 0 {
@@ -828,4 +858,12 @@ func (p *Pipeline) commit() {
 			}
 		}
 	}
+	if committed == 0 {
+		if p.ruuLen == 0 {
+			p.res.Pipe.Stall.CommitEmptyRUU++
+		} else {
+			p.res.Pipe.Stall.CommitOldestNotDone++
+		}
+	}
+	p.res.Pipe.Commit.observe(committed)
 }

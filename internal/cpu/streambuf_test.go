@@ -6,6 +6,11 @@ import (
 	"repro/internal/trace"
 )
 
+// The pipeline reads its stream through a trace.Spool cursor (its
+// "stream buffer"). These cases pin the window behaviour fetch relies
+// on: sequential reads, rewinds above the release mark, sticky EOF and
+// compaction that never loses a live instruction.
+
 func countingSource(n int) trace.Source {
 	insts := make([]trace.DynInst, n)
 	for i := range insts {
@@ -14,101 +19,119 @@ func countingSource(n int) trace.Source {
 	return trace.NewSliceSource(insts)
 }
 
+// newWindow builds a stream window the way newPipeline does for the
+// serial path, returning the spool too so tests can trim and measure.
+func newWindow(src trace.Source) (*trace.Spool, *trace.Cursor) {
+	sp := trace.NewSpool(src)
+	return sp, sp.NewCursor()
+}
+
 func TestStreamBufSequentialAndRewind(t *testing.T) {
-	s := newStreamBuf(countingSource(100))
+	_, w := newWindow(countingSource(100))
 	for pos := uint64(0); pos < 100; pos++ {
-		d := s.at(pos)
+		d := w.At(pos)
 		if d == nil || d.PC != pos {
-			t.Fatalf("at(%d) = %+v", pos, d)
+			t.Fatalf("At(%d) = %+v", pos, d)
 		}
 	}
 	// Rewind to an unreleased position (the misprediction re-fetch path).
-	if d := s.at(10); d == nil || d.PC != 10 {
+	if d := w.At(10); d == nil || d.PC != 10 {
 		t.Fatalf("rewind to 10: %+v", d)
 	}
 }
 
 func TestStreamBufEOF(t *testing.T) {
-	s := newStreamBuf(countingSource(5))
-	if d := s.at(4); d == nil || d.PC != 4 {
+	_, w := newWindow(countingSource(5))
+	if d := w.At(4); d == nil || d.PC != 4 {
 		t.Fatalf("last instruction: %+v", d)
 	}
-	if d := s.at(5); d != nil {
+	if d := w.At(5); d != nil {
 		t.Fatalf("read past EOF: %+v", d)
 	}
 	// EOF is sticky: the source is not consulted again.
-	if d := s.at(1_000); d != nil {
+	if d := w.At(1_000); d != nil {
 		t.Fatalf("far past EOF: %+v", d)
 	}
 	// Buffered instructions stay readable after EOF.
-	if d := s.at(2); d == nil || d.PC != 2 {
+	if d := w.At(2); d == nil || d.PC != 2 {
 		t.Fatalf("buffered after EOF: %+v", d)
 	}
 }
 
 func TestStreamBufAccessBelowReleasePanics(t *testing.T) {
-	s := newStreamBuf(countingSource(10_000))
+	sp, w := newWindow(countingSource(10_000))
 	for pos := uint64(0); pos < 5_000; pos++ {
-		s.at(pos)
+		w.At(pos)
 	}
-	s.release(5_000) // drop >= 4096 forces compaction
-	if s.base != 5_000 {
-		t.Fatalf("base after release = %d, want 5000", s.base)
+	w.Release(5_000) // drop >= 4096 forces compaction
+	sp.Trim()
+	if got, want := sp.WindowLen(), 5*trace.DefaultBatchSize-5_000; got != want {
+		t.Fatalf("window after release = %d, want %d", got, want)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("access below release point did not panic")
 		}
 	}()
-	s.at(4_999)
+	w.At(4_999)
 }
 
 func TestStreamBufReleaseBoundaries(t *testing.T) {
-	s := newStreamBuf(countingSource(100))
+	sp, w := newWindow(countingSource(100))
 	for pos := uint64(0); pos < 100; pos++ {
-		s.at(pos)
+		w.At(pos)
 	}
-	// Releasing at or below base is a no-op.
-	s.release(0)
-	if s.base != 0 || len(s.buf) != 100 {
-		t.Fatalf("release(0) changed state: base=%d len=%d", s.base, len(s.buf))
+	// Releasing at the start is a no-op.
+	w.Release(0)
+	sp.Trim()
+	if sp.WindowLen() != 100 {
+		t.Fatalf("Release(0) changed the window: len=%d", sp.WindowLen())
 	}
 	// A small release below the compaction threshold keeps the prefix
-	// buffered (base unchanged) — release is advisory, not exact.
-	s.release(10)
-	if s.base != 0 {
-		t.Fatalf("small release compacted early: base=%d", s.base)
+	// buffered — trimming is advisory, not exact — but the mark is.
+	w.Release(10)
+	sp.Trim()
+	if sp.WindowLen() != 100 {
+		t.Fatalf("small release compacted early: len=%d", sp.WindowLen())
 	}
-	// Releasing the whole buffer compacts regardless of size.
-	s.release(100)
-	if s.base != 100 || len(s.buf) != 0 {
-		t.Fatalf("full release: base=%d len=%d", s.base, len(s.buf))
+	if d := w.At(10); d == nil || d.PC != 10 {
+		t.Fatalf("At(10) at the mark = %+v", d)
 	}
-	// Releasing beyond everything buffered clamps to the buffered end.
-	s.release(1_000)
-	if s.base != 100 {
-		t.Fatalf("over-release moved base to %d", s.base)
+	// Releasing the whole window compacts regardless of size.
+	w.Release(100)
+	sp.Trim()
+	if sp.WindowLen() != 0 {
+		t.Fatalf("full release: len=%d", sp.WindowLen())
 	}
 	// The stream continues cleanly after a full release... until EOF.
-	if d := s.at(100); d != nil {
+	if d := w.At(100); d != nil {
 		t.Fatalf("exhausted source produced %+v", d)
+	}
+	// Releasing beyond everything buffered clamps to the buffered end.
+	w.Release(1_000)
+	sp.Trim()
+	if sp.WindowLen() != 0 {
+		t.Fatalf("over-release: len=%d", sp.WindowLen())
+	}
+	if d := w.At(1_000); d != nil {
+		t.Fatalf("At past EOF after over-release = %+v", d)
 	}
 }
 
 func TestStreamBufCompactionPreservesContent(t *testing.T) {
 	const n = 20_000
-	s := newStreamBuf(countingSource(n))
+	sp, w := newWindow(countingSource(n))
 	for pos := uint64(0); pos < n; pos++ {
-		if d := s.at(pos); d == nil || d.PC != pos {
-			t.Fatalf("at(%d) = %+v", pos, d)
+		if d := w.At(pos); d == nil || d.PC != pos {
+			t.Fatalf("At(%d) = %+v", pos, d)
 		}
 		// Release in chunks as commit would; compaction must be
 		// invisible to subsequent reads.
 		if pos%4_096 == 0 {
-			s.release(pos)
+			w.Release(pos)
 		}
 	}
-	if uint64(len(s.buf))+s.base < n {
-		t.Fatalf("buffer lost instructions: base=%d len=%d", s.base, len(s.buf))
+	if sp.WindowLen() > 4_096+2*trace.DefaultBatchSize {
+		t.Fatalf("window kept %d instructions behind a %d-instruction release cadence", sp.WindowLen(), 4_096)
 	}
 }

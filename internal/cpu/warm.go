@@ -64,7 +64,7 @@ func (ws *WarmState) Warm(src trace.Source) uint64 {
 // Perfect* switches) as cfg, and must not be reused afterwards — the
 // pipeline mutates it.
 func NewExecutionDrivenWarmed(cfg Config, src trace.Source, ws *WarmState) *Pipeline {
-	p := newPipeline(cfg, src)
+	p := newPipeline(cfg, trace.NewSpool(src).NewCursor())
 	if !cfg.PerfectCaches {
 		h := ws.hier
 		if h == nil {

@@ -18,13 +18,15 @@
 // per-point loop by construction; the differential and fuzz suites in
 // this package enforce it empirically.
 //
-// Scheduling: instances share one trace.Spool. Each round the driver
-// picks the instance with the lowest fetch target and advances it by
-// one chunk (trace.DefaultBatchSize), so targets never spread further
-// than a chunk apart and the spool window stays a few chunks wide —
-// every instance reads the same cache-resident bytes while per-instance
-// state (pipeline windows, per-instance scheduling slices) is advanced
-// in a tight loop over the delivered batch.
+// Scheduling: instances share one trace.Spool and read the trace by
+// reference out of its single window; none keeps a private copy. Each
+// round the driver picks the instance with the lowest fetch target and
+// advances it by one chunk (trace.DefaultBatchSize), so targets never
+// spread further than a chunk apart. The window then spans from the
+// lowest release mark (the oldest uncommitted instruction of the
+// slowest instance) to the fastest fetch frontier: a few chunks,
+// whatever the cohort size — every instance reads the same
+// cache-resident bytes.
 package lockstep
 
 import (
@@ -35,8 +37,8 @@ import (
 // Simulate runs one trace-driven pipeline per configuration over a
 // single generation pass of src, in lockstep, and returns the per-
 // configuration results in input order. A batch of one degrades to
-// exactly the serial path (cpu.NewTraceDriven(...).Run()), with no
-// spool in between.
+// exactly the serial path (cpu.NewTraceDriven(...).Run(), whose spool
+// has one cursor).
 func Simulate(cfgs []cpu.Config, src trace.Source) []cpu.Result {
 	n := len(cfgs)
 	switch n {
@@ -46,12 +48,15 @@ func Simulate(cfgs []cpu.Config, src trace.Source) []cpu.Result {
 		return []cpu.Result{cpu.NewTraceDriven(cfgs[0], src).Run()}
 	}
 
-	sp := trace.NewSpool(src)
+	return simulate(cfgs, trace.NewSpool(src))
+}
+
+// simulate is Simulate's lockstep driver over a spool no one has read.
+func simulate(cfgs []cpu.Config, sp *trace.Spool) []cpu.Result {
+	n := len(cfgs)
 	pipes := make([]*cpu.Pipeline, n)
-	curs := make([]*trace.Cursor, n)
 	for i := range cfgs {
-		curs[i] = sp.NewCursor()
-		pipes[i] = cpu.NewTraceDriven(cfgs[i], curs[i])
+		pipes[i] = cpu.NewTraceDrivenOn(cfgs[i], sp.NewCursor())
 	}
 
 	// Per-instance scheduling state, struct-of-arrays: the selection
@@ -77,11 +82,9 @@ func Simulate(cfgs []cpu.Config, src trace.Source) []cpu.Result {
 			done[best] = true
 			live--
 			results[best] = pipes[best].Finalize()
-			curs[best].Close()
 		} else {
 			target[best] += stride
 		}
-		sp.Trim()
 	}
 	return results
 }

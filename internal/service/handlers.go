@@ -155,8 +155,8 @@ type Server struct {
 	sweepFromStore     atomic.Uint64
 	sweepFromSurrogate atomic.Uint64
 	sweepSimulated     atomic.Uint64
-	sweepLocks   sync.Map // sweep fingerprint -> *sync.Mutex
-	fidelity     fidelityCounters
+	sweepLocks         sync.Map // sweep fingerprint -> *sync.Mutex
+	fidelity           fidelityCounters
 
 	// Shed-storm detection: a burst of 429s inside stormWindow triggers
 	// one flight-recorder dump per stormCooldown, so the black box lands

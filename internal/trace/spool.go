@@ -1,16 +1,27 @@
 package trace
 
 // Spool materialises one BatchSource stream exactly once and serves it
-// to N independent Cursor consumers — the sharing primitive behind
-// lockstep multi-config simulation, where a single synthetic-trace
-// generation pass drives many pipeline instances.
+// to N independent Cursor consumers by reference — the sharing
+// primitive behind lockstep multi-config simulation, where a single
+// synthetic-trace generation pass drives many pipeline instances, and
+// the stream window of every pipeline (the serial path is a spool with
+// one cursor).
 //
-// The spool keeps a sliding window of the stream: the frontmost cursor
-// pulls fresh chunks from the source, laggards re-read the retained
-// window, and Trim drops everything below the slowest open cursor. A
-// scheduler that advances the laggard first (internal/lockstep) keeps
-// the window a few chunks wide regardless of consumer count, so every
-// consumer reads the same cache-resident bytes.
+// The spool keeps one sliding window of the stream. A consumer reads
+// by stream position (Cursor.At) straight out of that window; whoever
+// asks past its end pulls fresh chunks from the source. Each consumer
+// publishes a release mark (Cursor.Release): the oldest position it can
+// still ask for, e.g. the oldest instruction a pipeline may re-fetch
+// after a misprediction. Trim drops everything below the lowest open
+// release mark. A scheduler that advances the laggard first
+// (internal/lockstep) keeps the window a few chunks wide regardless of
+// consumer count, so every consumer reads the same cache-resident
+// bytes.
+//
+// Pointer validity: a *DynInst returned by At stays valid only until
+// the next call on the same spool (At, Release, Trim or Close through
+// any of its cursors), because a fill may grow the window and a trim
+// may compact it. Consumers copy what they need to keep.
 //
 // Concurrency: a Spool and its Cursors belong to one goroutine — the
 // lockstep driver advances instances sequentially. Create every cursor
@@ -30,8 +41,8 @@ func NewSpool(src Source) *Spool {
 	return &Spool{src: Batched(src)}
 }
 
-// NewCursor registers a new consumer positioned at the start of the
-// stream. All cursors must be created before any of them reads.
+// NewCursor registers a new consumer with its release mark at the start
+// of the stream. All cursors must be created before any of them reads.
 func (s *Spool) NewCursor() *Cursor {
 	if s.base != 0 || len(s.window) != 0 || s.eof {
 		panic("trace: Spool.NewCursor after consumption began")
@@ -41,8 +52,11 @@ func (s *Spool) NewCursor() *Cursor {
 	return c
 }
 
-// fill extends the window by up to one chunk from the source.
+// fill extends the window by up to one chunk from the source, first
+// trimming the released prefix so the window only grows when the live
+// span itself outgrows it.
 func (s *Spool) fill() {
+	s.Trim()
 	n := len(s.window)
 	if cap(s.window)-n < DefaultBatchSize {
 		grown := make([]DynInst, n, 2*cap(s.window)+DefaultBatchSize)
@@ -57,21 +71,19 @@ func (s *Spool) fill() {
 	s.window = s.window[:n+k]
 }
 
-// Trim discards window entries below the slowest open cursor,
-// compacting only when a sizeable prefix is dead (amortising the copy,
-// like the pipeline's stream buffer). With every cursor closed the
-// whole window is released.
+// Trim discards window entries below the lowest open release mark,
+// compacting only when a sizeable prefix is dead (amortising the copy).
+// It never drops an entry at or above that mark. With every cursor
+// closed the whole window is released.
 func (s *Spool) Trim() {
-	min, open := ^uint64(0), false
+	min := ^uint64(0)
 	for _, c := range s.cursors {
-		if !c.closed {
-			open = true
-			if c.pos < min {
-				min = c.pos
-			}
+		if c.mark < min {
+			min = c.mark
 		}
 	}
-	if !open {
+	if min == ^uint64(0) { // every cursor closed
+		s.base += uint64(len(s.window))
 		s.window = s.window[:0]
 		return
 	}
@@ -93,62 +105,45 @@ func (s *Spool) Trim() {
 // (observability and tests; the lockstep scheduler keeps it small).
 func (s *Spool) WindowLen() int { return len(s.window) }
 
-// Cursor is one consumer's monotone position into a Spool. It
-// implements both trace.Source and trace.BatchSource, so it plugs
-// directly into the pipeline's stream buffer (whose Batched adapter
-// collapses to the cursor itself).
+// Cursor is one consumer's view of a Spool: random access by stream
+// position at or above its own release mark.
 type Cursor struct {
-	sp     *Spool
-	pos    uint64
-	closed bool
+	sp   *Spool
+	mark uint64 // lowest position this consumer may still read; MaxUint64 once closed
 }
 
-// NextBatch implements BatchSource: it copies from the shared window,
-// pulling fresh chunks from the source only when this cursor is at the
-// frontier. EOF (return 0) is sticky, per the BatchSource contract.
-func (c *Cursor) NextBatch(dst []DynInst) int {
+// At returns the instruction at stream position pos, pulling from the
+// source as needed; nil once the stream ends before pos. pos must be at
+// or above the cursor's release mark (At panics otherwise). The pointer
+// is valid until the next call on the spool (see Spool).
+func (c *Cursor) At(pos uint64) *DynInst {
+	if pos < c.mark {
+		panic("trace: Cursor read below its release mark")
+	}
+	// pos >= mark >= base: base never passes an open mark.
 	s := c.sp
-	for c.pos >= s.base+uint64(len(s.window)) {
+	for pos-s.base >= uint64(len(s.window)) {
 		if s.eof {
-			return 0
+			return nil
 		}
 		s.fill()
 	}
-	if c.pos < s.base {
-		panic("trace: Cursor read below the trimmed window")
-	}
-	n := copy(dst, s.window[c.pos-s.base:])
-	c.pos += uint64(n)
-	return n
+	return &s.window[pos-s.base]
 }
 
-// Next implements Source for per-instruction consumers.
-func (c *Cursor) Next(out *DynInst) bool {
-	s := c.sp
-	for c.pos >= s.base+uint64(len(s.window)) {
-		if s.eof {
-			return false
-		}
-		s.fill()
+// Release raises the cursor's release mark to pos: positions below it
+// will not be read again and may be trimmed. Lower values are ignored,
+// so the mark is monotone. Release does not trim by itself; the next
+// fill (or an explicit Trim) does.
+func (c *Cursor) Release(pos uint64) {
+	if pos > c.mark {
+		c.mark = pos
 	}
-	if c.pos < s.base {
-		panic("trace: Cursor read below the trimmed window")
-	}
-	*out = s.window[c.pos-s.base]
-	c.pos++
-	return true
 }
 
-// Pos reports the cursor's stream position (instructions consumed).
-func (c *Cursor) Pos() uint64 { return c.pos }
-
-// Close marks the cursor done so it no longer pins the window.
+// Close marks the cursor done so it no longer pins the window; any
+// later At on it panics.
 func (c *Cursor) Close() {
-	c.closed = true
+	c.mark = ^uint64(0)
 	c.sp.Trim()
 }
-
-var (
-	_ Source      = (*Cursor)(nil)
-	_ BatchSource = (*Cursor)(nil)
-)
